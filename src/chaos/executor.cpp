@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <utility>
 
 #include "attacks/registry.h"
+#include "core/batch_gradient.h"
 #include "core/exact_algorithm.h"
 #include "core/quadratic_cost.h"
 #include "data/mean_estimation.h"
@@ -37,11 +38,24 @@ bool all_finite(const linalg::Vector& v) {
   return true;
 }
 
-/// One reply in flight: the gradient an agent emitted at a given round.
-struct Reply {
-  std::size_t agent = 0;
-  std::size_t emitted = 0;  ///< round the payload was computed in
-  linalg::Vector payload;
+/// The last few estimates, newest first, in a fixed ring: at(s) is the
+/// estimate s rounds back, for s < size() (at most the capacity).
+class EstimateHistory {
+ public:
+  explicit EstimateHistory(std::size_t capacity) : ring_(capacity) {}
+
+  void push_front(const linalg::Vector& x) {
+    head_ = (head_ + ring_.size() - 1) % ring_.size();
+    ring_[head_] = x;
+    size_ = std::min(size_ + 1, ring_.size());
+  }
+  const linalg::Vector& at(std::size_t s) const { return ring_[(head_ + s) % ring_.size()]; }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::vector<linalg::Vector> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace
@@ -244,169 +258,227 @@ ScenarioResult run_scenario(const Scenario& s, const ExecutorOptions& options) {
   result.initial_distance = linalg::distance(x, built.reference);
   result.max_distance = result.initial_distance;
 
-  // Estimate history for stragglers: history[s] is x^{t-s} (clamped).
+  // Estimate history for stragglers: history.at(s) is x^{t-s} (clamped).
   std::size_t max_staleness = 0;
   for (const FaultSpec& spec : s.faults) {
     if (spec.kind == FaultSpec::Kind::kStraggler) {
       max_staleness = std::max(max_staleness, spec.staleness);
     }
   }
-  std::deque<linalg::Vector> history;
+  EstimateHistory history(max_staleness + 1);
   history.push_front(x);
 
-  // Replies delayed by the channel, keyed by their delivery round.
-  std::map<std::size_t, std::vector<Reply>> pending;
-
+  // Every buffer below lives across rounds.  Gradient-sized vectors
+  // circulate between the per-agent emission slots, the inbox, the
+  // channel's delay line and the filter input by swap, so a round
+  // allocates only inside the filter, the attacks, and the costs that
+  // have no in-place gradient.
+  const std::unique_ptr<core::BatchGradientEvaluator> evaluator =
+      core::BatchGradientEvaluator::try_create(problem.costs);
+  std::vector<linalg::Vector> residual_ws(evaluator != nullptr ? n : 0);
   std::vector<linalg::Vector> payloads(n);
   std::vector<char> emits(n, 0);
+  std::vector<std::size_t> staleness_of(n, 0);
+  std::vector<linalg::Vector> spare;     // idle gradient-sized vectors
+  std::vector<linalg::Vector> observed;  // what the adversary sees
+  std::vector<linalg::Vector> received;  // the filter's input
+  linalg::Vector true_gradient;
+  linalg::Vector duplicate;
+
+  // Vector pool: hands out an idle vector (empty only until the pool has
+  // warmed up) and takes vectors back.
+  auto take_spare = [&spare]() {
+    if (spare.empty()) return linalg::Vector();
+    linalg::Vector v = std::move(spare.back());
+    spare.pop_back();
+    return v;
+  };
+  // Resizes a pooled vector list without freeing or allocating vectors.
+  auto resize_pooled = [&](std::vector<linalg::Vector>& list, std::size_t size) {
+    while (list.size() > size) {
+      spare.push_back(std::move(list.back()));
+      list.pop_back();
+    }
+    while (list.size() < size) list.push_back(take_spare());
+  };
+
+  // Replies delayed by the channel: a ring of delivery rounds (a delay is
+  // at most max_delay, so max_delay + 1 buckets never collide).
+  struct Delayed {
+    std::size_t agent = 0;
+    std::size_t emitted = 0;  ///< round the payload was computed in
+    linalg::Vector payload;
+  };
+  std::vector<std::vector<Delayed>> pending(s.channel.max_delay + 1);
+
+  // The server's inbox: one slot per agent holding the freshest reply
+  // (sequence-number dedup: a stale or duplicate arrival never replaces a
+  // fresher one; every later arrival counts as superseded).
+  struct Slot {
+    bool filled = false;
+    std::size_t emitted = 0;
+    linalg::Vector payload;
+  };
+  std::vector<Slot> inbox(n);
+  std::size_t inbox_count = 0;
+  auto deliver = [&](std::size_t agent, std::size_t emitted, linalg::Vector& payload) {
+    Slot& slot = inbox[agent];
+    if (!slot.filled) {
+      slot.filled = true;
+      slot.emitted = emitted;
+      std::swap(slot.payload, payload);
+      ++inbox_count;
+      return;
+    }
+    if (emitted > slot.emitted) {
+      slot.emitted = emitted;
+      std::swap(slot.payload, payload);
+    }
+    ++result.superseded_replies;
+  };
+
+  // Honest payloads (and the Byzantine agents' would-be-honest gradients)
+  // fan out across the runtime; each index writes only its own slots, so
+  // the result is thread-count independent.  Built once: the fan-out
+  // reads the round's state through references.
+  const std::function<void(std::size_t)> emit_gradient = [&](std::size_t i) {
+    if (!emits[i]) return;
+    const linalg::Vector& at = history.at(staleness_of[i]);
+    if (evaluator != nullptr) {
+      evaluator->evaluate_agent(i, at, residual_ws[i], payloads[i]);
+    } else {
+      problem.costs[i]->gradient_into(at, payloads[i]);
+    }
+  };
+
+  std::size_t rounds_run = 0;
   for (std::size_t t = 0; t < s.rounds; ++t) {
     // The span opens and closes in this serial context; the parallel
     // fan-outs inside the round never touch the span log.
     telemetry::ScopedSpan round_span("chaos.round");
     round_span.attr("t", static_cast<std::uint64_t>(t));
     auto note = [&](const char* name, std::size_t agent) {
+      if (!telemetry::enabled()) return;
       telemetry::span_instant(name, {{"agent", telemetry::Value(static_cast<std::uint64_t>(agent))},
                                      {"t", telemetry::Value(static_cast<std::uint64_t>(t))}});
     };
     // --- Emission: every non-crashed agent computes its reply. ---
+    bool byzantine_active = false;
     for (std::size_t i = 0; i < n; ++i) {
       const FaultSpec* spec = spec_of[i];
-      emits[i] = !(spec != nullptr && spec->kind == FaultSpec::Kind::kCrash && in_window(*spec, t));
+      const bool active = spec != nullptr && in_window(*spec, t);
+      emits[i] = !(active && spec->kind == FaultSpec::Kind::kCrash);
       if (!emits[i]) {
         ++result.crashed_absences;
-        metric_crashed.inc();
         note("chaos.crashed", i);
-      }
-    }
-    // Honest payloads (and the Byzantine agents' would-be-honest
-    // gradients) fan out across the runtime; each index writes only its
-    // own slot, so the result is thread-count independent.
-    runtime::parallel_for(0, n, [&](std::size_t i) {
-      if (!emits[i]) return;
-      const FaultSpec* spec = spec_of[i];
-      std::size_t staleness = 0;
-      if (spec != nullptr && spec->kind == FaultSpec::Kind::kStraggler && in_window(*spec, t)) {
-        staleness = std::min(spec->staleness, history.size() - 1);
+        continue;
       }
       // Byzantine agents are never stale: the attack sees the freshest
       // state (worst case for the server).
-      if (spec != nullptr && spec->kind == FaultSpec::Kind::kByzantine && in_window(*spec, t)) {
-        staleness = 0;
+      staleness_of[i] = 0;
+      if (active && spec->kind == FaultSpec::Kind::kStraggler) {
+        staleness_of[i] = std::min(spec->staleness, history.size() - 1);
+        if (history.size() > 1) ++result.stale_replies;
       }
-      payloads[i] = problem.costs[i]->gradient(history[staleness]);
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!emits[i]) continue;
-      const FaultSpec* spec = spec_of[i];
-      if (spec != nullptr && spec->kind == FaultSpec::Kind::kStraggler && in_window(*spec, t) &&
-          history.size() > 1) {
-        ++result.stale_replies;
-        metric_stale.inc();
+      if (active && spec->kind == FaultSpec::Kind::kByzantine) byzantine_active = true;
+    }
+    runtime::parallel_for(0, n, emit_gradient);
+
+    if (byzantine_active) {
+      // What the adversary observes: the replies of the agents that are
+      // not Byzantine this execution (stale where straggling).
+      resize_pooled(observed, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const FaultSpec* spec = spec_of[i];
+        if (spec != nullptr && spec->kind == FaultSpec::Kind::kByzantine) continue;
+        if (!emits[i]) continue;
+        observed.push_back(take_spare());
+        observed.back() = payloads[i];
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const FaultSpec* spec = spec_of[i];
+        if (spec == nullptr || spec->kind != FaultSpec::Kind::kByzantine || !in_window(*spec, t)) {
+          continue;
+        }
+        true_gradient = payloads[i];
+        std::vector<linalg::Vector> fallback;
+        if (observed.empty()) fallback.push_back(true_gradient);
+        attacks::AttackContext ctx;
+        ctx.iteration = t;
+        ctx.agent_id = i;
+        ctx.n = n;
+        ctx.f = s.f;
+        ctx.estimate = &x;
+        ctx.honest_gradient = &true_gradient;
+        ctx.honest_gradients = observed.empty() ? &fallback : &observed;
+        ctx.rng = &attack_rngs[i];
+        payloads[i] = attack_of[i]->craft(ctx);
+        REDOPT_REQUIRE(payloads[i].size() == d, "attack crafted a wrong-dimension vector");
+        ++result.byzantine_replies;
       }
     }
 
-    // What the adversary observes: the replies of the agents that are not
-    // Byzantine this execution (stale where straggling).
-    std::vector<linalg::Vector> observed;
-    observed.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const FaultSpec* spec = spec_of[i];
-      if (spec != nullptr && spec->kind == FaultSpec::Kind::kByzantine) continue;
-      if (!emits[i]) continue;
-      observed.push_back(payloads[i]);
+    // --- Channel and receive: replies delayed into this round land
+    // first, then each emitted reply is dropped, duplicated or delayed,
+    // draws in agent order from the dedicated channel stream. ---
+    std::vector<Delayed>& due = pending[t % pending.size()];
+    for (Delayed& reply : due) {
+      deliver(reply.agent, reply.emitted, reply.payload);
+      spare.push_back(std::move(reply.payload));
     }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const FaultSpec* spec = spec_of[i];
-      if (spec == nullptr || spec->kind != FaultSpec::Kind::kByzantine || !in_window(*spec, t)) {
-        continue;
-      }
-      const linalg::Vector true_gradient = payloads[i];
-      const std::vector<linalg::Vector>* seen = observed.empty() ? nullptr : &observed;
-      const std::vector<linalg::Vector> fallback{true_gradient};
-      attacks::AttackContext ctx;
-      ctx.iteration = t;
-      ctx.agent_id = i;
-      ctx.n = n;
-      ctx.f = s.f;
-      ctx.estimate = &x;
-      ctx.honest_gradient = &true_gradient;
-      ctx.honest_gradients = seen != nullptr ? seen : &fallback;
-      ctx.rng = &attack_rngs[i];
-      payloads[i] = attack_of[i]->craft(ctx);
-      REDOPT_REQUIRE(payloads[i].size() == d, "attack crafted a wrong-dimension vector");
-      ++result.byzantine_replies;
-      metric_byzantine.inc();
-    }
-
-    // --- Channel: drop / duplicate / delay each emitted reply, draws in
-    // agent order from the dedicated channel stream. ---
-    std::vector<Reply> arrivals;
-    if (auto it = pending.find(t); it != pending.end()) {
-      arrivals = std::move(it->second);
-      pending.erase(it);
-    }
+    due.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (!emits[i]) continue;
-      Reply reply{i, t, payloads[i]};
       if (s.channel.drop_probability > 0.0 &&
           channel_rng.uniform() < s.channel.drop_probability) {
         ++result.dropped_replies;
-        metric_dropped.inc();
         note("chaos.dropped", i);
         continue;
       }
       if (s.channel.duplicate_probability > 0.0 &&
           channel_rng.uniform() < s.channel.duplicate_probability) {
         ++result.duplicated_replies;
-        metric_duplicated.inc();
         note("chaos.duplicated", i);
-        arrivals.push_back(reply);  // the extra copy lands on time
+        duplicate = payloads[i];
+        deliver(i, t, duplicate);  // the extra copy lands on time
       }
       if (s.channel.max_delay > 0) {
         const auto delay = static_cast<std::size_t>(
             channel_rng.uniform_int(0, static_cast<std::int64_t>(s.channel.max_delay)));
         if (delay > 0) {
           ++result.delayed_replies;
-          metric_delayed.inc();
           note("chaos.delayed", i);
-          pending[t + delay].push_back(std::move(reply));
+          Delayed& reply = pending[(t + delay) % pending.size()].emplace_back();
+          reply.agent = i;
+          reply.emitted = t;
+          reply.payload = take_spare();
+          std::swap(reply.payload, payloads[i]);
           continue;
         }
       }
-      arrivals.push_back(std::move(reply));
-    }
-
-    // --- Receive: the server keeps the freshest reply per agent this
-    // round (sequence-number dedup: a stale or duplicate arrival never
-    // replaces a fresher one). ---
-    std::map<std::size_t, Reply> inbox;
-    for (Reply& reply : arrivals) {
-      auto [it, inserted] = inbox.try_emplace(reply.agent, std::move(reply));
-      if (inserted) continue;
-      if (reply.emitted > it->second.emitted) {
-        it->second = std::move(reply);
-      }
-      ++result.superseded_replies;
+      deliver(i, t, payloads[i]);
     }
 
     // --- Aggregate and step. ---
-    metric_rounds.inc();
-    if (!inbox.empty()) {
-      std::vector<linalg::Vector> received;
-      received.reserve(inbox.size());
-      for (auto& [agent, reply] : inbox) {
-        (void)agent;
-        received.push_back(std::move(reply.payload));
+    ++rounds_run;
+    if (inbox_count > 0) {
+      resize_pooled(received, inbox_count);
+      std::size_t k = 0;
+      for (Slot& slot : inbox) {
+        if (!slot.filled) continue;
+        std::swap(received[k++], slot.payload);
+        slot.filled = false;
       }
+      inbox_count = 0;
       std::size_t f_used = 0;
       const filters::FilterPtr& filter = filter_for(received.size(), &f_used);
       if (received.size() != n || f_used != s.f) ++result.filter_rebuilds;
-      const linalg::Vector direction = filter->apply(received);
-      x = projection.project(x - direction * schedule.step(t));
+      linalg::Vector direction = filter->apply(received);
+      direction *= schedule.step(t);
+      x -= direction;
+      projection.project_in_place(x);
     }
     history.push_front(x);
-    while (history.size() > max_staleness + 1) history.pop_back();
 
     if (!all_finite(x)) {
       result.nonfinite = true;
@@ -416,6 +488,15 @@ ScenarioResult run_scenario(const Scenario& s, const ExecutorOptions& options) {
     result.max_distance = std::max(result.max_distance, linalg::distance(x, built.reference));
   }
 
+  // The fault counters take the scenario's totals once, not one
+  // increment per event.
+  metric_rounds.inc(rounds_run);
+  metric_byzantine.inc(result.byzantine_replies);
+  metric_crashed.inc(result.crashed_absences);
+  metric_stale.inc(result.stale_replies);
+  metric_dropped.inc(result.dropped_replies);
+  metric_delayed.inc(result.delayed_replies);
+  metric_duplicated.inc(result.duplicated_replies);
   metric_scenarios.inc();
   result.estimate = x;
   result.final_distance =

@@ -35,6 +35,11 @@ class CostFunction {
   /// The gradient (nabla Q)(x).  Requires x.size() == dimension().
   virtual Vector gradient(const Vector& x) const = 0;
 
+  /// gradient(x), written into @p out.  Costs whose gradient needs no
+  /// scratch override this to reuse @p out's storage (no allocation once
+  /// it has size d); the default assigns gradient(x).
+  virtual void gradient_into(const Vector& x, Vector& out) const { out = gradient(x); }
+
   /// Hessian at x, if the cost exposes one analytically.
   virtual std::optional<Matrix> hessian(const Vector& /*x*/) const { return std::nullopt; }
 

@@ -23,6 +23,7 @@ class QuadraticCost final : public CostFunction {
   std::size_t dimension() const override { return q_.size(); }
   double value(const Vector& x) const override;
   Vector gradient(const Vector& x) const override;
+  void gradient_into(const Vector& x, Vector& out) const override;
   std::optional<Matrix> hessian(const Vector& x) const override;
   std::unique_ptr<CostFunction> clone() const override;
   std::string describe() const override;

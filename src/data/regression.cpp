@@ -1,13 +1,92 @@
 #include "data/regression.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "linalg/decompose.h"
+#include "linalg/kernels.h"
 #include "util/error.h"
 #include "util/subsets.h"
 
 namespace redopt::data {
+
+namespace {
+
+/// Depth-first search for a hyperplane through the origin that holds all
+/// but at most `budget` rows of `a`.  Rows are decided in order.  A row in
+/// the span of the rows already on the plane goes on it: any plane holding
+/// those holds it too.  Any other row is tried on the plane, while the rows
+/// on it span fewer than d - 1 dimensions, and off it, while the budget
+/// lasts.  Each branch spends a dimension or a unit of budget, so the
+/// search reaches at most C(d - 1 + budget, budget) leaves, each after
+/// O(n d^2) work.  That is fewer than both the C(n, budget) subsets of
+/// rows left off and the C(n, d - 1) hyperplanes spanned by rows.  A row
+/// is in a span when its distance to it is at most rel_tol times the row's
+/// own norm (so only exact zero rows are in every span): like the QR rank
+/// test, the verdict does not depend on how the rows are scaled.
+class PlaneSearch {
+ public:
+  PlaneSearch(const Matrix& a, std::size_t budget, double rel_tol)
+      : a_(a),
+        budget_(budget),
+        rel_tol_(rel_tol),
+        row_norm_(a.rows()),
+        basis_((a.cols() - 1) * a.cols()),
+        residual_(a.cols()) {
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      row_norm_[r] = std::sqrt(linalg::kernels::norm_squared(a.row_data(r), a.cols()));
+    }
+  }
+
+  /// Rows [r, n) are undecided, the first k basis rows are an orthonormal
+  /// basis of the rows on the plane, and `off` rows were left off it.
+  bool found(std::size_t r, std::size_t k, std::size_t off) {
+    const std::size_t n = a_.rows();
+    const std::size_t d = a_.cols();
+    for (; r < n; ++r) {
+      if (n - r <= budget_ - off) return true;  // the rest can all go off
+      const double dist = distance_to_span(r, k);
+      if (dist <= rel_tol_ * row_norm_[r]) continue;
+      if (k + 1 < d) {
+        double* b = basis_.data() + k * d;
+        for (std::size_t c = 0; c < d; ++c) b[c] = residual_[c] / dist;
+        if (found(r + 1, k + 1, off)) return true;
+      }
+      if (off == budget_) return false;
+      ++off;
+    }
+    return true;
+  }
+
+ private:
+  /// Leaves row r minus its projection onto the first k basis rows in
+  /// residual_ and returns that residual's norm.
+  double distance_to_span(std::size_t r, std::size_t k) {
+    const std::size_t d = a_.cols();
+    std::copy(a_.row_data(r), a_.row_data(r) + d, residual_.begin());
+    // Two Gram-Schmidt passes keep the residual orthogonal to working
+    // precision.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t q = 0; q < k; ++q) {
+        const double* b = basis_.data() + q * d;
+        const double along = linalg::kernels::dot(residual_.data(), b, d);
+        linalg::kernels::axpy(residual_.data(), -along, b, d);
+      }
+    }
+    return std::sqrt(linalg::kernels::norm_squared(residual_.data(), d));
+  }
+
+  const Matrix& a_;
+  std::size_t budget_;
+  double rel_tol_;
+  std::vector<double> row_norm_;
+  std::vector<double> basis_;  // orthonormal rows, (d - 1) x d
+  std::vector<double> residual_;
+};
+
+}  // namespace
 
 Matrix paper_matrix() {
   // Unit-norm rows at angles k * 30 degrees.  No two rows are parallel, so
@@ -42,16 +121,13 @@ bool regression_rank_condition(const linalg::Matrix& a, std::size_t f, double re
   const std::size_t n = a.rows();
   const std::size_t d = a.cols();
   REDOPT_REQUIRE(n > 2 * f, "rank condition requires n > 2f");
+  if (d == 0) return true;
   if (n - 2 * f < d) return false;  // too few rows to ever reach rank d
-  bool ok = true;
-  util::for_each_subset(n, n - 2 * f, [&](const std::vector<std::size_t>& rows) {
-    if (linalg::rank(a.select_rows(rows), rel_tol) < d) {
-      ok = false;
-      return false;  // stop early
-    }
-    return true;
-  });
-  return ok;
+  if (linalg::rank(a, rel_tol) < d) return false;
+  if (f == 0) return true;  // the one (n - 2f)-row subset is A itself
+  // With rank(A) = d, some n - 2f rows have rank < d iff one hyperplane
+  // through the origin holds all but at most 2f rows.
+  return !PlaneSearch(a, 2 * f, rel_tol).found(0, 0, 0);
 }
 
 RegressionInstance make_regression(const Matrix& a, const Vector& x_star, double noise_sigma,

@@ -54,6 +54,9 @@ class BoxProjection final : public ProjectionSet {
   bool contains(const Vector& x, double tol) const override;
   std::string name() const override { return "box"; }
 
+  /// project(x), written over @p x (no allocation).
+  void project_in_place(Vector& x) const;
+
  private:
   Vector lo_;
   Vector hi_;

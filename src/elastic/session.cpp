@@ -347,14 +347,16 @@ ElasticSession run_elastic(const chaos::Scenario& scenario, const ElasticOptions
     });
     return frames;
   };
-  // Same serialize → parse round trip the transports ship islands
-  // through, so both paths surface byte-identical snapshots.
+  // The islands never leave this process, so they are handed over as
+  // snapshots directly; JSON is only for islands that cross a process
+  // boundary (the transports), and that round trip renders the same
+  // manifest bytes.
   CollectFn collect = [world, n]() {
     std::vector<telemetry::AgentSnapshot> agents;
     agents.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      agents.push_back(telemetry::parse_agent_snapshot(telemetry::serialize_agent_telemetry(
-          static_cast<std::uint32_t>(i), world->replicas[i].telemetry())));
+      agents.push_back(telemetry::snapshot_agent_telemetry(static_cast<std::uint32_t>(i),
+                                                           world->replicas[i].telemetry()));
     }
     return agents;
   };

@@ -124,25 +124,39 @@ struct Registry::Impl {
   }
 };
 
-Registry::Registry() : impl_(std::make_unique<Impl>()) {}
+/// One thread's handle on a registry's shard.  The weak owner handle
+/// tells dead registries apart, so their entries can be dropped.
+struct Registry::CacheEntry {
+  std::uint64_t uid;
+  std::weak_ptr<const Impl> owner;
+  Shard* shard;
+};
+
+Registry::Registry() : impl_(std::make_shared<Impl>()) {}
 Registry::~Registry() = default;
 
-Registry::Shard& Registry::local_shard() const {
-  struct CacheEntry {
-    std::uint64_t uid;
-    Shard* shard;
-  };
-  // Registries are few (the global one plus test-local instances), so a
-  // linear scan beats a hash lookup.  Entries of dead registries never
-  // match again (uids are never reused) and are simply skipped.
+std::vector<Registry::CacheEntry>& Registry::thread_cache() {
   thread_local std::vector<CacheEntry> cache;
+  return cache;
+}
+
+std::size_t Registry::thread_cache_size() { return thread_cache().size(); }
+
+Registry::Shard& Registry::local_shard() const {
+  // Registries a thread records into at once are few (the global one plus
+  // a replica island or job manifest at a time), so a linear scan beats a
+  // hash lookup.  Uids are never reused, so a dead registry's entry never
+  // matches; a miss drops those entries before adding this registry's, so
+  // the cache holds live registries only, however many came and went.
+  std::vector<CacheEntry>& cache = thread_cache();
   for (const CacheEntry& e : cache) {
     if (e.uid == impl_->uid) return *e.shard;
   }
+  std::erase_if(cache, [](const CacheEntry& e) { return e.owner.expired(); });
   std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->shards.push_back(std::make_unique<Shard>());
   Shard* shard = impl_->shards.back().get();
-  cache.push_back(CacheEntry{impl_->uid, shard});
+  cache.push_back(CacheEntry{impl_->uid, impl_, shard});
   return *shard;
 }
 

@@ -172,12 +172,20 @@ class Registry {
   friend class Counter;
   friend class Gauge;
   friend class Histogram;
+  friend struct RegistryTestPeer;  // reads thread_cache_size() in tests
+
+  /// Registries the calling thread holds a shard handle for.  A handle is
+  /// made on a thread's first recording into a registry; handles of
+  /// destroyed registries are dropped at the next first recording.
+  static std::size_t thread_cache_size();
 
   struct Shard;
   struct Impl;
+  struct CacheEntry;
+  static std::vector<CacheEntry>& thread_cache();
   Shard& local_shard() const;
 
-  std::unique_ptr<Impl> impl_;
+  std::shared_ptr<Impl> impl_;
 };
 
 /// The process-wide registry used by all wired hot paths.

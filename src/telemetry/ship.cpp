@@ -266,14 +266,18 @@ std::string serialize_agent_snapshot(const AgentSnapshot& snapshot) {
   return out;
 }
 
-std::string serialize_agent_telemetry(std::uint32_t agent, const AgentTelemetry& telemetry) {
+AgentSnapshot snapshot_agent_telemetry(std::uint32_t agent, const AgentTelemetry& telemetry) {
   AgentSnapshot snapshot;
   snapshot.agent = agent;
   snapshot.metrics = telemetry.registry.snapshot();
   snapshot.spans = telemetry.spans.spans();
   snapshot.instants = telemetry.spans.instants();
   snapshot.spans_dropped = telemetry.spans.dropped();
-  return serialize_agent_snapshot(snapshot);
+  return snapshot;
+}
+
+std::string serialize_agent_telemetry(std::uint32_t agent, const AgentTelemetry& telemetry) {
+  return serialize_agent_snapshot(snapshot_agent_telemetry(agent, telemetry));
 }
 
 AgentSnapshot parse_agent_snapshot(const std::string& json_text) {

@@ -6,16 +6,22 @@
 // Registry plus a private SpanLog — recorded into unconditionally (the
 // global telemetry switch is fork-inherited state, so gating on it would
 // let the two backends diverge).  At collection time the island is
-// serialized to a deterministic JSON blob, shipped through the
-// util::frame codec as a kTelemetry frame (socket backend) or handed
-// over directly (inproc backend), and parsed back into an AgentSnapshot
-// on the coordinator.
+// captured as an AgentSnapshot.  An island that crosses a process
+// boundary (the transport backends) is serialized to a deterministic
+// JSON blob, shipped through the util::frame codec as a kTelemetry frame
+// and parsed back on the coordinator; an island that stays in the
+// coordinator's process (elastic::run_elastic) is handed over as the
+// snapshot itself, with no JSON in between.
 //
-// Both backends funnel through the same serialize → parse round trip,
-// so any canonicalization (attribute value typing, number formatting)
-// happens identically on both sides — that is what makes the merged
-// manifest byte-identical between inproc and socket executions of the
-// same scenario once nondeterministic fields are stripped.
+// The round trip is lossless for everything a manifest renders: numbers
+// print with json_number (17 significant digits, exact for every
+// double), and the one canonicalization — integer-valued attributes come
+// back as int64 whatever their type — renders the same digits.  (The
+// exception is a double attribute of -0, which comes back as 0; island
+// code records no double attributes.)  So a merged manifest renders the
+// same bytes whether its islands were captured directly or shipped, nd
+// members included, and its stable projection is byte-identical across
+// backends.
 //
 // The nd segregation mirrors the JSONL sink: wall-clock values
 // (span timings, kUnstable metric values) serialize under "nd" members,
@@ -58,8 +64,12 @@ struct AgentSnapshot {
 /// attribute authors use small values: rounds, agent ids, counts).
 std::string serialize_agent_snapshot(const AgentSnapshot& snapshot);
 
-/// Captures @p telemetry (registry snapshot + span log) and serializes
-/// it for @p agent.  Serial-context only.
+/// Captures @p telemetry (registry snapshot + span log) as @p agent's
+/// snapshot.  Serial-context only.
+AgentSnapshot snapshot_agent_telemetry(std::uint32_t agent, const AgentTelemetry& telemetry);
+
+/// serialize_agent_snapshot(snapshot_agent_telemetry(agent, telemetry)):
+/// the blob a transport agent ships.  Serial-context only.
 std::string serialize_agent_telemetry(std::uint32_t agent, const AgentTelemetry& telemetry);
 
 /// Strict inverse of serialize_agent_snapshot; any malformed document

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -55,16 +56,14 @@ std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   // Integral values within the exactly-representable range print as plain
   // integers; everything else uses 17 significant digits, which round-trips
-  // any double bit pattern.
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
+  // any double bit pattern.  std::to_chars is specified to print exactly
+  // what printf's "%.0f" / "%.17g" print, without a stream or locale.
+  char buf[32];
+  const std::to_chars_result done =
+      v == std::floor(v) && std::abs(v) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 0)
+          : std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  return std::string(buf, done.ptr);
 }
 
 void json_summary(const std::string& name, std::size_t threads,

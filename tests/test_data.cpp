@@ -1,14 +1,21 @@
 // Tests for the synthetic data generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "core/problem.h"
 #include "data/classification.h"
 #include "data/mean_estimation.h"
 #include "data/regression.h"
+#include "linalg/decompose.h"
 #include "redundancy/redundancy.h"
+#include "rng/rng.h"
 #include "util/error.h"
+#include "util/subsets.h"
 
 using namespace redopt;
 using linalg::Matrix;
@@ -39,6 +46,147 @@ TEST(RegressionData, RedundantMatrixRejectsInfeasibleShapes) {
   rng::Rng rng(2);
   EXPECT_THROW(data::redundant_matrix(5, 2, 2, rng), redopt::PreconditionError);  // n-2f < d
   EXPECT_THROW(data::redundant_matrix(4, 1, 2, rng), redopt::PreconditionError);  // n <= 2f
+}
+
+namespace {
+
+/// The rank condition by definition: one pivoted QR per (n - 2f)-row
+/// subset.  regression_rank_condition counts rows on hyperplanes instead;
+/// this enumeration is the oracle it must agree with.
+bool subset_rank_oracle(const Matrix& a, std::size_t f, double rel_tol = 1e-10) {
+  const std::size_t n = a.rows();
+  const std::size_t d = a.cols();
+  REDOPT_REQUIRE(n > 2 * f, "rank condition requires n > 2f");
+  if (n - 2 * f < d) return false;
+  bool ok = true;
+  util::for_each_subset(n, n - 2 * f, [&](const std::vector<std::size_t>& rows) {
+    if (linalg::rank(a.select_rows(rows), rel_tol) < d) {
+      ok = false;
+      return false;
+    }
+    return true;
+  });
+  return ok;
+}
+
+/// An n x d draw in the generator's range: unit rows, then (for most
+/// draws) a planted degeneracy — rows moved onto one random hyperplane,
+/// rows made parallel, or rows zeroed — sized around the n - 2f rows a
+/// subset holds, so both verdicts occur.
+Matrix cross_check_draw(rng::Rng& rng, std::size_t n, std::size_t d, std::size_t f) {
+  Matrix a(n, d);
+  for (std::size_t r = 0; r < n; ++r) a.set_row(r, Vector(rng.unit_sphere(d)));
+  const auto kind = rng.uniform_int(0, 3);
+  std::size_t count = n - 2 * f;  // the rows one subset holds, give or take one
+  const auto jitter = rng.uniform_int(-1, 1);
+  if (jitter < 0 && count > 0) --count;
+  if (jitter > 0 && count < n) ++count;
+  const std::vector<std::size_t> order = rng.permutation(n);
+  if (kind == 1) {  // `count` rows on one hyperplane through the origin
+    const Vector normal(rng.unit_sphere(d));
+    for (std::size_t k = 0; k < count; ++k) {
+      Vector row = a.row(order[k]);
+      row -= normal * linalg::dot(row, normal);
+      a.set_row(order[k], row * rng.uniform(0.5, 2.0));
+    }
+  } else if (kind == 2) {  // `count` rows parallel to the first
+    const Vector base = a.row(order[0]);
+    for (std::size_t k = 1; k < count; ++k) a.set_row(order[k], base * rng.uniform(-2.0, 2.0));
+  } else if (kind == 3) {  // a few zero rows
+    const std::size_t zeros = static_cast<std::size_t>(rng.uniform_int(1, 2 * f + 1));
+    for (std::size_t k = 0; k < std::min(zeros, n); ++k) a.set_row(order[k], Vector(d));
+  }
+  return a;
+}
+
+}  // namespace
+
+TEST(RankConditionCrossCheck, AgreesWithSubsetEnumerationOnGeneratorRangeDraws) {
+  rng::Rng rng(20260);
+  std::size_t holds = 0;
+  std::size_t fails = 0;
+  for (std::size_t draw = 0; draw < 10000; ++draw) {
+    const auto f = static_cast<std::size_t>(rng.uniform_int(0, 4));
+    const auto d = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    const auto n_min = static_cast<std::int64_t>(std::max<std::size_t>(4, 2 * f + 1));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(n_min, 16));
+    const Matrix a = cross_check_draw(rng, n, d, f);
+    const bool expected = subset_rank_oracle(a, f);
+    ASSERT_EQ(data::regression_rank_condition(a, f), expected)
+        << "draw " << draw << ": n=" << n << " d=" << d << " f=" << f << "\n" << a.to_string();
+    ++(expected ? holds : fails);
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(holds, 2000u);
+  EXPECT_GT(fails, 2000u);
+}
+
+TEST(RankConditionCrossCheck, AgreesOnBuiltDegenerateCases) {
+  const Matrix paper = data::paper_matrix();
+  const Matrix parallel{{1.0, 0.0}, {2.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}, {1.0, -1.0}, {2.0, 1.0}};
+  std::vector<std::tuple<Matrix, std::size_t>> cases;
+  cases.emplace_back(paper, 1);
+  cases.emplace_back(paper, 2);
+  // Parallel rows (test_redundancy's case) and a line of three rows.
+  cases.emplace_back(parallel, 2);
+  cases.emplace_back(parallel, 1);
+  cases.emplace_back(Matrix{{1.0, 0.0}, {-3.0, 0.0}, {0.5, 0.0}, {0.0, 1.0}, {1.0, 1.0}}, 1);
+  // Too few rows per subset.
+  cases.emplace_back(Matrix{{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}}, 1);
+  // Three rows in the plane z = 0.
+  cases.emplace_back(Matrix{{1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {0, 0, 1}, {1, 1, 1}}, 1);
+  cases.emplace_back(Matrix{{1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {0, 0, 1}, {1, 1, 1}, {1, -1, 2}}, 1);
+  cases.emplace_back(Matrix{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1}, {1, -1, 2}, {2, 1, 3}}, 1);
+  // Zero rows.
+  cases.emplace_back(Matrix{{0.0, 0.0}, {0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}}, 1);
+  cases.emplace_back(Matrix{{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}, {1.0, -1.0}}, 1);
+  cases.emplace_back(Matrix{{0.0}, {0.0}, {0.0}, {1.0}, {2.0}}, 1);
+  cases.emplace_back(Matrix{{0.0}, {0.0}, {1.0}, {-1.0}, {2.0}}, 1);
+  cases.emplace_back(Matrix{{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}}, 0);
+  // Rank-deficient as a whole, and f = 0.
+  cases.emplace_back(Matrix{{1.0, 2.0}, {2.0, 4.0}, {-1.0, -2.0}, {3.0, 6.0}}, 1);
+  cases.emplace_back(Matrix{{1.0, 0.0}, {0.0, 1.0}}, 0);
+  cases.emplace_back(Matrix{{1.0, 0.0}, {2.0, 0.0}}, 0);
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const auto& [a, f] = cases[k];
+    EXPECT_EQ(data::regression_rank_condition(a, f), subset_rank_oracle(a, f)) << "case " << k;
+  }
+  EXPECT_TRUE(data::regression_rank_condition(paper, 1));
+  EXPECT_FALSE(data::regression_rank_condition(parallel, 2));
+}
+
+TEST(RankConditionCrossCheck, AgreesOnRedundantMatrixDraws) {
+  rng::Rng rng(1);
+  for (auto [n, d, f] : {std::tuple<std::size_t, std::size_t, std::size_t>{8, 3, 2},
+                         {10, 4, 2},
+                         {6, 2, 2},
+                         {6, 2, 1},
+                         {16, 4, 4},
+                         {16, 1, 4}}) {
+    const Matrix a = data::redundant_matrix(n, d, f, rng);
+    EXPECT_TRUE(subset_rank_oracle(a, f));
+    EXPECT_TRUE(data::regression_rank_condition(a, f));
+  }
+}
+
+TEST(RankConditionCost, StaysWithinBudgetOnWideShapes) {
+  // Generic unit rows satisfy the condition, so the check cannot stop
+  // early.  Enumerating the C(n, d - 1) hyperplanes spanned by rows would
+  // take ~2e6 steps at (24, 12, 1), ~1e11 at (40, 20, 1) and ~1e18 at
+  // (64, 32, 2).  The search reaches at most C(d - 1 + 2f, 2f) leaves
+  // (78, 210 and 52360): ~1 s at the largest shape in a Release build,
+  // where one QR per (n - 2f)-row subset takes ~30 s.
+  rng::Rng rng(7);
+  for (auto [n, d, f] : {std::tuple<std::size_t, std::size_t, std::size_t>{24, 12, 1},
+                         {40, 20, 1},
+                         {64, 32, 2}}) {
+    Matrix a(n, d);
+    for (std::size_t r = 0; r < n; ++r) a.set_row(r, Vector(rng.unit_sphere(d)));
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(data::regression_rank_condition(a, f)) << n << "x" << d << " f=" << f;
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took.count(), 5.0) << n << "x" << d << " f=" << f;
+  }
 }
 
 TEST(RegressionData, NoiselessObservationsMatchGroundTruth) {

@@ -628,6 +628,56 @@ TEST(ElasticCrossBackend, StableManifestsMatchAcrossThreadCounts) {
   telemetry::set_enabled(false);
 }
 
+TEST(ElasticCrossBackend, OracleIslandsMatchTheSocketBackend) {
+  // run_elastic hands its replica islands over as snapshots; the socket
+  // backend ships them as JSON across the process boundary.  The islands
+  // (metrics, spans, instants) must render the same stable document.  The
+  // coordinator halves differ by design: the transport adds its own
+  // counters and exchange spans.
+  auto islands = [](const elastic::ElasticSession& session) {
+    return telemetry::stable_json_projection(
+        telemetry::render_merged_manifest(telemetry::Snapshot{}, session.agents));
+  };
+  for (const chaos::Scenario& s :
+       {elastic::make_churn_scenario(elastic::ChurnProfile::kJoinHeavy, kSeed),
+        elastic::make_streaming_churn_scenario(elastic::ChurnProfile::kLeaveHeavy, kSeed)}) {
+    const elastic::ElasticSession oracle = elastic::run_elastic(s);
+    transport::SessionOptions socket;
+    socket.backend = transport::BackendKind::kSocket;
+    const elastic::ElasticSession shipped = elastic::run_elastic_transport(s, socket);
+    ASSERT_EQ(oracle.agents.size(), s.n) << s.name;
+    EXPECT_EQ(islands(oracle), islands(shipped)) << s.name;
+  }
+}
+
+TEST(ElasticIslands, DirectSnapshotsRenderTheBytesOfTheJsonRoundTrip) {
+  // The islands of generated churn scenarios, handed over directly, must
+  // render exactly the manifest and trace that shipping them through
+  // serialize -> parse renders — wall-clock "nd" members included.
+  chaos::GeneratorSpec churny;
+  churny.elastic_probability = 1.0;
+  chaos::Generator g(churny, 2026);
+  std::size_t checked = 0;
+  for (int k = 0; k < 40; ++k) {
+    const chaos::Scenario s = g.next();
+    if (!s.elastic()) continue;
+    reset_telemetry();
+    const elastic::ElasticSession direct = elastic::run_elastic(s);
+    elastic::ElasticSession round_trip = direct;
+    for (telemetry::AgentSnapshot& agent : round_trip.agents) {
+      agent = telemetry::parse_agent_snapshot(telemetry::serialize_agent_snapshot(agent));
+    }
+    ASSERT_EQ(direct.agents.size(), s.n) << s.name;
+    EXPECT_EQ(elastic::elastic_manifest_json(direct), elastic::elastic_manifest_json(round_trip))
+        << s.name;
+    EXPECT_EQ(elastic::elastic_trace_json(direct), elastic::elastic_trace_json(round_trip))
+        << s.name;
+    ++checked;
+  }
+  EXPECT_GE(checked, 20u);
+  telemetry::set_enabled(false);
+}
+
 // ---------------------------------------------------------------------------
 // Fixed-membership paths refuse elastic scenarios.
 // ---------------------------------------------------------------------------

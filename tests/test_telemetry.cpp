@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attacks/registry.h"
@@ -240,6 +241,44 @@ TEST_F(TelemetryTest, ResetZeroesValuesButKeepsRegistrations) {
   const auto* m = find_metric(snap, "h");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->count, 0u);
+}
+
+namespace redopt::telemetry {
+struct RegistryTestPeer {
+  static std::size_t thread_cache_size() { return Registry::thread_cache_size(); }
+};
+}  // namespace redopt::telemetry
+
+TEST_F(TelemetryTest, ThreadShardCacheHoldsOnlyLiveRegistries) {
+  // A thread that records into thousands of short-lived registries (one
+  // per replica island or job manifest) must not keep a shard handle per
+  // registry it ever used: the cache holds the live ones only.
+  constexpr std::size_t kRegistries = 5000;
+  std::size_t largest_cache = 0;
+  std::uint64_t wrong_counts = 0;
+  std::uint64_t keeper_total = 0;
+  std::thread([&] {
+    tel::Registry keeper;
+    const auto kept = keeper.counter("kept");
+    for (std::size_t k = 0; k < kRegistries; ++k) {
+      tel::Registry island;
+      const auto c = island.counter("c");
+      const auto h = island.histogram("h", tel::BucketLayout::linear(0.0, 1.0, 4));
+      c.inc(k % 7 + 1);
+      c.inc();
+      h.observe(0.5);
+      kept.inc();
+      largest_cache = std::max(largest_cache, tel::RegistryTestPeer::thread_cache_size());
+      const auto snap = island.snapshot();
+      const auto* hist = find_metric(snap, "h");
+      if (c.value() != k % 7 + 2 || hist == nullptr || hist->count != 1) ++wrong_counts;
+    }
+    keeper_total = kept.value();
+  }).join();
+  // keeper + the island of the iteration.
+  EXPECT_LE(largest_cache, 2u);
+  EXPECT_EQ(wrong_counts, 0u);
+  EXPECT_EQ(keeper_total, kRegistries);
 }
 
 TEST_F(TelemetryTest, CountersAndHistogramsAreBitIdenticalAcrossThreadCounts) {

@@ -1,7 +1,10 @@
 // Unit tests for util: CSV writer, table printer, CLI parser, subsets.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -227,6 +230,83 @@ TEST(Json, NumberNonFiniteBecomesNull) {
   EXPECT_EQ(ru::json_number(std::numeric_limits<double>::quiet_NaN()), "null");
   EXPECT_EQ(ru::json_number(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(ru::json_number(-std::numeric_limits<double>::infinity()), "null");
+}
+
+namespace {
+
+/// The stream-based formatter json_number used to be: "%.0f" for integral
+/// values below 1e15, "%.17g" through an ostringstream otherwise.  Every
+/// golden, manifest and checkpoint was written by it, so json_number must
+/// reproduce it byte for byte.
+std::string stream_json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    return buf;
+  }
+  std::ostringstream os;
+  os.precision(17);
+  os << v;
+  return os.str();
+}
+
+double from_bits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+}  // namespace
+
+TEST(Json, NumberMatchesStreamFormatterOnRandomBitPatterns) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto next = [&state] {  // splitmix64
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < 1000000; ++k) {
+    const double v = from_bits(next());
+    if (ru::json_number(v) != stream_json_number(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << v << ": " << ru::json_number(v) << " vs "
+                    << stream_json_number(v);
+    }
+  }
+  // Bit patterns rarely land on small magnitudes; sweep those too.
+  for (std::size_t k = 0; k < 200000; ++k) {
+    const double scale = std::ldexp(1.0, static_cast<int>(next() % 120) - 60);
+    const double v = (static_cast<double>(next() >> 11) / 9007199254740992.0 - 0.5) * scale;
+    if (ru::json_number(v) != stream_json_number(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << v << ": " << ru::json_number(v) << " vs "
+                    << stream_json_number(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Json, NumberMatchesStreamFormatterOnEdgeValues) {
+  const double max = std::numeric_limits<double>::max();
+  const double min_normal = std::numeric_limits<double>::min();
+  const double min_sub = std::numeric_limits<double>::denorm_min();
+  const double largest_subnormal = from_bits(0x000fffffffffffffULL);
+  const double below_1e15 = std::nextafter(1e15, 0.0);
+  const double above_1e15 = std::nextafter(1e15, 2e15);
+  std::vector<double> values = {0.0, -0.0, max, -max, min_normal, -min_normal, min_sub, -min_sub};
+  values.insert(values.end(), {largest_subnormal, -largest_subnormal, from_bits(0x100000001ULL)});
+  values.insert(values.end(), {1e15, -1e15, below_1e15, -below_1e15, above_1e15, -above_1e15});
+  values.insert(values.end(), {999999999999999.0, 999999999999999.5, 1e16, 1e17, -1e17});
+  values.insert(values.end(), {9007199254740992.0, 9007199254740993.0, 123456789012345678.0});
+  values.insert(values.end(), {0.1, 1.0 / 3.0, 2.5, -0.5, 1e-5, 1e-4, 5e-324, 1e300, -1e-300});
+  for (double v : values) {
+    EXPECT_EQ(ru::json_number(v), stream_json_number(v)) << std::hexfloat << v;
+  }
+  EXPECT_EQ(ru::json_number(-0.0), "-0");
+  EXPECT_EQ(ru::json_number(1e15), "1000000000000000");  // %.17g, not the integer path
+  EXPECT_EQ(ru::json_number(1e17), "1e+17");
+  EXPECT_EQ(ru::json_number(999999999999999.0), "999999999999999");
 }
 
 // ---------------------------------------------------------------- Stopwatch
